@@ -36,6 +36,7 @@ from repro.net.message import Message
 from repro.runtime.base import RuntimeSpec, create_kernel, create_network
 from repro.sim.process import Process
 from repro.sim.tracing import parse_retention
+from repro.storage.kvstore import TransactionError
 
 COMMIT_ONE_PHASE = "CommitOnePhase"
 ACK_COMMIT = "AckCommit"
@@ -117,7 +118,9 @@ class OnePhaseDatabaseServer(DatabaseServer):
             try:
                 io_cost = self.resource.commit_one_phase(key)
                 outcome = "commit"
-            except Exception:
+            except TransactionError:
+                # The store refused the commit (unknown, aborted or misrouted
+                # transaction).  Anything else is a bug and must surface.
                 io_cost = 0.0
                 outcome = "abort"
             if io_cost > 0:

@@ -35,6 +35,11 @@ class ConsensusProtocol:
         """The locally-known decision for ``instance``, or ``None``."""
         raise NotImplementedError
 
-    def decided_instances(self) -> list[InstanceId]:
-        """Instances whose decision this host already knows."""
+    def learned_since(self, position: int) -> list[InstanceId]:
+        """Instances whose decision this host knows, in learn order, after
+        the first ``position`` of them.
+
+        Each instance is learned once, so a caller that advances ``position``
+        by the length of every answer sees each decided instance exactly once.
+        """
         raise NotImplementedError

@@ -110,6 +110,9 @@ class ConsensusHost(ConsensusProtocol):
         # Durable (survives crashes -- conceptually stable storage).
         self._acceptors: dict[InstanceId, AcceptorState] = {}
         self._decisions: dict[InstanceId, Any] = {}
+        # The same instances in learn order, append-only: learners follow new
+        # decisions from a cursor instead of rescanning ``_decisions``.
+        self._learned: list[InstanceId] = []
         # Volatile.
         self._attempts: dict[InstanceId, _ProposalAttempt] = {}
         self._futures: dict[InstanceId, SimFuture] = {}
@@ -155,8 +158,8 @@ class ConsensusHost(ConsensusProtocol):
     def decision(self, instance: InstanceId) -> Optional[Any]:
         return self._decisions.get(instance)
 
-    def decided_instances(self) -> list[InstanceId]:
-        return list(self._decisions)
+    def learned_since(self, position: int) -> list[InstanceId]:
+        return self._learned[position:]
 
     def request_decision(self, instance: InstanceId) -> None:
         """Ask the other members whether the instance is already decided.
@@ -182,9 +185,11 @@ class ConsensusHost(ConsensusProtocol):
         attempt = _ProposalAttempt(instance=instance, value=value, ballot=ballot,
                                    attempt_number=counter)
         self._attempts[instance] = attempt
-        self.process.trace.record("consensus_propose", self.process.name,
-                                  instance=_printable(instance), ballot=ballot,
-                                  fast_path=use_fast_path)
+        trace = self.process.trace
+        if trace.wants("consensus_propose"):
+            trace.record("consensus_propose", self.process.name,
+                         instance=_printable(instance), ballot=ballot,
+                         fast_path=use_fast_path)
         if use_fast_path:
             attempt.phase = "accept"
             attempt.chosen_value = value
@@ -230,8 +235,10 @@ class ConsensusHost(ConsensusProtocol):
                                        attempt_number=counter)
             self._attempts[instance] = attempt
             attempt.phase = "prepare"
-            self.process.trace.record("consensus_retry", self.process.name,
-                                      instance=_printable(instance), ballot=ballot)
+            trace = self.process.trace
+            if trace.wants("consensus_retry"):
+                trace.record("consensus_retry", self.process.name,
+                             instance=_printable(instance), ballot=ballot)
             self._broadcast({"instance": instance, "kind": "prepare", "ballot": ballot})
             self._arm_attempt_timeout(attempt)
 
@@ -362,8 +369,11 @@ class ConsensusHost(ConsensusProtocol):
     def _learn(self, instance: InstanceId, value: Any) -> None:
         if instance not in self._decisions:
             self._decisions[instance] = value
-            self.process.trace.record("consensus_decide", self.process.name,
-                                      instance=_printable(instance), value=_printable(value))
+            self._learned.append(instance)
+            trace = self.process.trace
+            if trace.wants("consensus_decide"):
+                trace.record("consensus_decide", self.process.name,
+                             instance=_printable(instance), value=_printable(value))
         attempt = self._attempts.pop(instance, None)
         if attempt is not None and attempt.retry_timer is not None:
             attempt.retry_timer.cancel()

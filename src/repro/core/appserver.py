@@ -133,9 +133,13 @@ class ApplicationServer(Process):
         self.directory = directory
         # Volatile caches (lost on crash, rebuilt from the registers if needed).
         self._known_commits: dict[ResultKey, Decision] = {}
-        self._cleaned: set[ResultKey] = set()
         self._inflight: set[ResultKey] = set()
         self._terminated: set[ResultKey] = set()
+        # The cleaning thread's view of regA: claimant -> {key: participants}
+        # for every learned claim of another server that this incarnation has
+        # not cleaned yet, fed from regA's learn log at ``_claims_seen``.
+        self._uncleaned: dict[str, dict[ResultKey, tuple[str, ...]]] = {}
+        self._claims_seen = 0
 
     # --------------------------------------------------------------- lifecycle
 
@@ -147,9 +151,10 @@ class ApplicationServer(Process):
 
     def on_crash(self) -> None:
         self._known_commits = {}
-        self._cleaned = set()
         self._inflight = set()
         self._terminated = set()
+        self._uncleaned = {}
+        self._claims_seen = 0
         if self.consensus_host is not None:
             self.consensus_host.on_crash()
 
@@ -409,7 +414,13 @@ class ApplicationServer(Process):
     # --------------------------------------------------------- cleaning thread
 
     def _cleaning_thread(self):
-        """Figure 6: terminate results initiated by suspected servers."""
+        """Figure 6: terminate results initiated by suspected servers.
+
+        A pass visits, for each suspected server, its learned and not yet
+        cleaned claims in key order, so its cost follows the claims learned
+        since the previous pass and the suspect's backlog, not the length of
+        the regA history.
+        """
         while True:
             yield self.sleep(self.timing.clean_interval)
             for suspected in self.app_server_names:
@@ -417,13 +428,10 @@ class ApplicationServer(Process):
                     continue
                 if not self.failure_detector.suspect(self.name, suspected):
                     continue
-                for key in self.registers.reg_a.known_indices():
-                    if key in self._cleaned:
-                        continue
-                    claimant, participants = claim_parts(
-                        self.registers.reg_a.read(key), self.db_server_names)
-                    if claimant != suspected:
-                        continue
+                self._index_new_claims()
+                claims = self._uncleaned.get(suspected, {})
+                for key in sorted(claims):
+                    participants = claims[key]
                     client, j = key
                     self.trace.record("as_clean", self.name, suspected=suspected,
                                       client=client, j=j,
@@ -433,4 +441,14 @@ class ApplicationServer(Process):
                     )
                     yield from self._terminate(key, decision, client,
                                                list(participants))
-                    self._cleaned.add(key)
+                    del claims[key]
+
+    def _index_new_claims(self) -> None:
+        """Index the regA claims learned since the last call."""
+        reg_a = self.registers.reg_a
+        fresh = reg_a.learned_since(self._claims_seen)
+        self._claims_seen += len(fresh)
+        for key in fresh:
+            claimant, participants = claim_parts(reg_a.read(key), self.db_server_names)
+            if claimant is not None and claimant != self.name:
+                self._uncleaned.setdefault(claimant, {})[key] = participants

@@ -68,6 +68,15 @@ class WriteOnceRegisterArray:
         """Indices whose value is locally known (written and learned)."""
         raise NotImplementedError
 
+    def learned_since(self, position: int) -> list[int]:
+        """Indices learned after the first ``position`` ones, in learn order.
+
+        A cursor over :meth:`known_indices`: each index is learned once, so a
+        caller that advances ``position`` by the length of every answer sees
+        each written cell exactly once, at the cost of the new cells only.
+        """
+        raise NotImplementedError
+
     def is_written(self, index: int) -> bool:
         """Whether register ``index`` holds a (locally known) value."""
         return self.read(index) is not BOTTOM

@@ -24,6 +24,10 @@ class ConsensusRegisterArray(WriteOnceRegisterArray):
     def __init__(self, host: ConsensusHost, array_name: str):
         self.host = host
         self.array_name = array_name
+        # This array's cells in learn order, followed from the host's learn
+        # log (which interleaves every array the host serves).
+        self._learned: list[int] = []
+        self._host_cursor = 0
 
     def _instance(self, index: int):
         return (self.array_name, index)
@@ -39,9 +43,19 @@ class ConsensusRegisterArray(WriteOnceRegisterArray):
         """Ask peers for a possibly missed decision (helps recovered servers)."""
         self.host.request_decision(self._instance(index))
 
+    def _follow(self) -> list[int]:
+        """This array's learn log, caught up with the host's."""
+        fresh = self.host.learned_since(self._host_cursor)
+        if fresh:
+            self._host_cursor += len(fresh)
+            name = self.array_name
+            self._learned.extend(instance[1] for instance in fresh
+                                 if isinstance(instance, tuple) and len(instance) == 2
+                                 and instance[0] == name)
+        return self._learned
+
+    def learned_since(self, position: int) -> list[int]:
+        return self._follow()[position:]
+
     def known_indices(self) -> list[int]:
-        indices = []
-        for instance in self.host.decided_instances():
-            if isinstance(instance, tuple) and len(instance) == 2 and instance[0] == self.array_name:
-                indices.append(instance[1])
-        return sorted(indices)
+        return sorted(self._follow())

@@ -37,6 +37,7 @@ class LocalRegisterStore:
         self.name = name
         self.operation_latency = operation_latency
         self._cells: dict[int, Any] = {}
+        self._learned: list[int] = []  # the keys of ``_cells`` in write order
         self.write_attempts = 0
         self.lost_writes = 0
 
@@ -48,6 +49,7 @@ class LocalRegisterStore:
         def apply() -> None:
             if index not in self._cells:
                 self._cells[index] = value
+                self._learned.append(index)
             else:
                 self.lost_writes += 1
             self.sim.trace.record("woregister_write", "", register=self.name, index=index,
@@ -66,6 +68,9 @@ class LocalRegisterStore:
     def known_indices(self) -> list[int]:
         return sorted(self._cells)
 
+    def learned_since(self, position: int) -> list[int]:
+        return self._learned[position:]
+
 
 class LocalRegisterArray(WriteOnceRegisterArray):
     """One application server's view of a :class:`LocalRegisterStore`."""
@@ -82,6 +87,9 @@ class LocalRegisterArray(WriteOnceRegisterArray):
 
     def known_indices(self) -> list[int]:
         return self.store.known_indices()
+
+    def learned_since(self, position: int) -> list[int]:
+        return self.store.learned_since(position)
 
 
 def _short(value: Any) -> Any:

@@ -22,6 +22,8 @@ from repro.baselines import (
 )
 from repro.failure.detectors import EventuallyPerfectFailureDetector
 from repro.failure.injection import FaultSchedule
+from repro.sim.errors import ThreadError
+from repro.storage.kvstore import TransactionError
 from repro.workload.bank import BankWorkload
 
 BANK = BankWorkload(num_accounts=2, initial_balance=100)
@@ -76,6 +78,31 @@ def test_baseline_two_databases_commit_independently():
     for db in deployment.db_servers.values():
         assert db.committed_value("account:0") == 90
 
+
+
+def _plant_one_phase_failure(deployment, error):
+    def commit_one_phase(transaction_id):
+        raise error
+
+    deployment.db_servers["d1"].resource.commit_one_phase = commit_one_phase
+
+
+def test_baseline_one_phase_commit_refused_by_the_store_is_an_abort():
+    deployment = BaselineDeployment(config())
+    _plant_one_phase_failure(deployment, TransactionError("refused"))
+    deployment.issue(BANK.debit(0, 10))
+    deployment.run(until=10_000.0)
+    assert deployment.trace.count("db_decide", "d1", outcome="abort") == 1
+
+
+def test_baseline_one_phase_commit_surfaces_non_storage_errors():
+    deployment = BaselineDeployment(config())
+    _plant_one_phase_failure(deployment, RuntimeError("planted bug"))
+    deployment.issue(BANK.debit(0, 10))
+    with pytest.raises(ThreadError) as raised:
+        deployment.run(until=10_000.0)
+    assert isinstance(raised.value.__cause__, RuntimeError)
+    assert deployment.trace.count("db_decide", "d1", outcome="abort") == 0
 
 # ------------------------------------------------------------------------ 2PC
 

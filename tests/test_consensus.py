@@ -169,4 +169,5 @@ def test_decided_instances_listing():
     hosts["a1"].propose(("regA", 1), "a1")
     hosts["a1"].propose(("regD", 1), ("result", "commit"))
     sim.run(until=1_000.0)
-    assert set(hosts["a2"].decided_instances()) == {("regA", 1), ("regD", 1)}
+    assert hosts["a2"].learned_since(0) == [("regA", 1), ("regD", 1)]
+    assert hosts["a2"].learned_since(1) == [("regD", 1)]

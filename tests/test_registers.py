@@ -50,6 +50,24 @@ def test_local_register_independent_indices():
     assert view.known_indices() == [1, 2]
 
 
+def test_local_register_learned_since_is_a_cursor_in_write_order():
+    sim = Simulator()
+    reg_a = LocalRegisterArray(LocalRegisterStore(sim, "regA", operation_latency=1.0))
+    reg_d = LocalRegisterArray(LocalRegisterStore(sim, "regD", operation_latency=1.0))
+    for index in (5, 2, 9):
+        reg_a.write(index, f"a1-{index}")
+    reg_a.write(2, "a2-2")  # a lost write learns nothing new
+    reg_d.write(7, ("r7", "commit"))
+    sim.run()
+    assert reg_a.learned_since(0) == [5, 2, 9]
+    assert reg_a.learned_since(2) == [9]
+    assert reg_a.learned_since(3) == []
+    assert reg_d.learned_since(0) == [7]
+    reg_a.write(1, "a1-1")
+    sim.run()
+    assert reg_a.learned_since(3) == [1]
+    assert reg_a.known_indices() == [1, 2, 5, 9]
+
 def test_local_register_operation_latency():
     sim = Simulator()
     store = LocalRegisterStore(sim, "regA", operation_latency=4.5)
@@ -139,3 +157,28 @@ def test_consensus_register_refresh_after_partition():
     arrays["a3"]["regA"].refresh(1)
     sim.run(until=sim.now + 100.0)
     assert arrays["a3"]["regA"].read(1) == "a1"
+
+
+def test_consensus_register_learned_since_is_a_cursor_in_learn_order():
+    sim, network, arrays = build_consensus_registers()
+    writer, reader = arrays["a1"], arrays["a2"]
+    for index in (5, 2, 9):
+        writer["regA"].write(index, f"a1-{index}")
+        sim.run(until=sim.now + 100.0)  # one decision at a time: learn order = write order
+        writer["regD"].write(index, ("res", "commit"))
+        sim.run(until=sim.now + 100.0)
+    for view in (writer, reader):
+        assert view["regA"].learned_since(0) == [5, 2, 9]
+        assert view["regA"].learned_since(1) == [2, 9]
+        assert view["regA"].learned_since(3) == []
+        assert view["regD"].learned_since(0) == [5, 2, 9]
+    cursor = reader["regA"].learned_since(0)
+    cursor.append(99)  # the answer is a copy, not the array's log
+    arrays["a3"]["regA"].write(1, "a3")
+    sim.run(until=sim.now + 1_000.0)
+    assert reader["regA"].learned_since(3) == [1]
+    assert reader["regD"].learned_since(3) == []
+    assert reader["regA"].known_indices() == [1, 2, 5, 9]
+    assert reader["regA"].host.learned_since(0) == [
+        ("regA", 5), ("regD", 5), ("regA", 2), ("regD", 2), ("regA", 9), ("regD", 9),
+        ("regA", 1)]
