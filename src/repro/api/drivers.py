@@ -324,17 +324,6 @@ def build(scenario: Scenario, *,
                             context=shard_context)
     resolved_db_timing = db_timing if db_timing is not None \
         else _resolve_db_timing(scenario)
-    if scenario.jobs > 0 and runtime is None:
-        # Parallel simulation: the sharded builder runs one sub-build per
-        # shard (each passing an explicit RuntimeSpec back through here) and
-        # already applies the restricted fault schedule inside each shard.
-        from repro.sim.parallel import build_sharded
-
-        deployment = build_sharded(
-            scenario, workload=workload, business_logic=business_logic,
-            initial_data=initial_data, db_timing=db_timing,
-            protocol_timing=protocol_timing)
-        return RunningSystem(scenario, deployment, binding, resolved_db_timing)
     if protocol_timing is None:
         protocol_timing = ProtocolTiming(client_backoff=scenario.client_backoff)
     deployment = driver.build(

@@ -104,15 +104,6 @@ class ScenarioResult:
             sat = stats.saturation
             lines.append(f"saturation {sat['shed_messages']} message(s) shed"
                          f"   peak backlog {sat['mailbox_peak']}")
-        if stats.parallel and stats.parallel.get("jobs"):
-            par = stats.parallel
-            events = "   ".join(f"{shard} {count}"
-                                for shard, count in par["events"].items())
-            lines.append(
-                f"parallel   {par['jobs']} job(s), {par['workers']} worker(s)"
-                f"   {par['rounds']} rounds"
-                f" ({par['stalled_windows']} stalled)"
-                f"   balance {par['balance']:.2f}   events: {events}")
         return "\n".join(lines)
 
     def _top_message_types(self, limit: int = 4) -> str:

@@ -52,7 +52,6 @@ from repro.failure.injection import (
 from repro.runtime.base import (
     KNOWN_RUNTIMES,
     MAX_PORT,
-    RUNTIME_ASYNCIO,
     RUNTIME_SIM,
     RuntimeSpec,
 )
@@ -402,8 +401,6 @@ _QUERY_PARAMS: dict[str, tuple[str, Callable[[str], Any]]] = {
     "host": ("host", str),
     "port": ("port", int),
     "pace": ("pace", float),
-    "jobs": ("jobs", int),
-    "workers": ("workers", int),
     "mailbox": ("mailbox", int),
 }
 
@@ -498,14 +495,6 @@ class Scenario:
     host: str = ""
     port: int = 0
     pace: float = 1.0
-    # Parallel simulation: ``jobs`` splits the server tier over that many
-    # shard kernels advanced in conservative lookahead rounds (0 = the plain
-    # serial kernel); ``workers`` hosts the server shards in that many OS
-    # processes (0 = interleave all shards in-process, the determinism
-    # oracle).  Either way the merged trace is byte-identical to the serial
-    # wheel kernel's.
-    jobs: int = 0
-    workers: int = 0
     # Admission control: ``mailbox`` bounds every application server's inbox
     # to that many buffered messages; a message arriving at a full inbox is
     # shed with a traced ``overload`` event (fair-lossy channels make a shed
@@ -584,28 +573,6 @@ class Scenario:
                 raise ScenarioError(
                     f"port range {self.port}..{self.port + total - 1} for {total} "
                     f"processes exceeds {MAX_PORT}; pick a lower base port")
-        if self.jobs < 0 or self.workers < 0:
-            raise ScenarioError("jobs and workers must be non-negative")
-        if self.jobs > 0:
-            if self.runtime != RUNTIME_SIM:
-                raise ScenarioError("jobs > 0 (parallel simulation) requires "
-                                    "runtime=sim")
-            if self.use_reliable_channels:
-                raise ScenarioError(
-                    "jobs > 0 does not support reliable=true: the retransmit "
-                    "layer keeps cross-process timers the sharded kernel "
-                    "cannot split deterministically")
-            servers = self.num_app_servers + self.num_db_servers
-            if self.jobs > servers:
-                raise ScenarioError(
-                    f"jobs={self.jobs} exceeds the {servers} server processes "
-                    "available to shard; lower jobs or add servers")
-        if self.workers > 0 and self.jobs < 1:
-            raise ScenarioError("workers > 0 requires jobs >= 1 (workers host "
-                                "the server shards that jobs creates)")
-        if self.workers > self.jobs:
-            raise ScenarioError(f"workers={self.workers} exceeds jobs={self.jobs}; "
-                                "extra workers would sit idle")
         if self.mailbox < 0:
             raise ScenarioError("mailbox bound must be non-negative "
                                 "(0 = unbounded)")
@@ -632,10 +599,6 @@ class Scenario:
                                 "replication there is nothing to move")
         if self.runtime != RUNTIME_SIM:
             raise ScenarioError("reshard currently requires runtime=sim")
-        if self.jobs > 0:
-            raise ScenarioError("reshard does not support jobs > 0: the "
-                                "sharded kernel pins the server partition at "
-                                "build time")
         if self.use_reliable_channels:
             raise ScenarioError("reshard does not support reliable=true: the "
                                 "reconfiguration coordinator carries its own "

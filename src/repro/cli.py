@@ -77,10 +77,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scenario = api.Scenario.from_dsn(args.dsn)
         if args.seed is not None:
             scenario = scenario.with_(seed=_seed(args))
-        if args.jobs is not None:
-            scenario = scenario.with_(jobs=args.jobs)
-        if args.sim_workers is not None:
-            scenario = scenario.with_(workers=args.sim_workers)
         run_kwargs: dict = {}
         if args.settle is not None:
             run_kwargs["settle"] = args.settle
@@ -304,10 +300,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         scenario = api.Scenario.from_dsn(dsn)
         if args.seed is not None:
             scenario = scenario.with_(seed=_seed(args))
-        if args.jobs is not None:
-            scenario = scenario.with_(jobs=args.jobs)
-        if args.sim_workers is not None:
-            scenario = scenario.with_(workers=args.sim_workers)
         report = _profiled(
             args.profile, "soak",
             lambda: soak.run(scenario, requests=args.requests,
@@ -427,10 +419,6 @@ def _cmd_kernelbench(args: argparse.Namespace) -> int:
     else:
         payload = bench.run_kernel_bench(ops=args.ops, repeats=args.repeats)
         print(bench.format_report(payload))
-    if args.parallel:
-        parallel = bench.run_parallel_bench(requests=args.parallel_requests)
-        payload["parallel"] = parallel
-        print(bench.format_parallel_report(parallel))
     if args.alloc or args.alloc_only:
         alloc = bench.run_alloc_bench()
         payload["alloc"] = alloc
@@ -478,13 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="host only these processes locally (distributed "
                           "runtime=asyncio runs; peers must be served "
                           "elsewhere with `repro serve`)")
-    run.add_argument("--jobs", type=int, default=None,
-                     help="shard the simulation over N server shards "
-                          "(overrides the DSN's jobs=; traces stay "
-                          "byte-identical to the serial run)")
-    run.add_argument("--workers", dest="sim_workers", type=int, default=None,
-                     help="execute the shards on N forked worker processes "
-                          "(overrides the DSN's workers=; requires --jobs)")
     run.add_argument("--profile", nargs="?", const="", default=None,
                      metavar="PATH",
                      help="run under cProfile; write pstats to PATH (default "
@@ -571,13 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="observability samples taken during the run")
     soak_cmd.add_argument("--json", default=None, metavar="PATH",
                           help="also write the machine-readable report here")
-    soak_cmd.add_argument("--jobs", type=int, default=None,
-                          help="shard the simulation over N server shards "
-                               "(overrides the DSN's jobs=)")
-    soak_cmd.add_argument("--workers", dest="sim_workers", type=int,
-                          default=None,
-                          help="execute the shards on N forked worker "
-                               "processes (overrides the DSN's workers=)")
     soak_cmd.add_argument("--profile", nargs="?", const="", default=None,
                           metavar="PATH",
                           help="run under cProfile; write pstats to PATH "
@@ -617,12 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="measurements per scenario, best kept (default 3)")
     kbench.add_argument("--out", default=None, metavar="PATH",
                         help="also write the machine-readable BENCH json here")
-    kbench.add_argument("--parallel", action="store_true",
-                        help="also time the 8-shard soak shape serial vs "
-                             "sharded vs forked workers")
-    kbench.add_argument("--parallel-requests", type=int, default=2000,
-                        help="requests for the --parallel scenario "
-                             "(default 2000)")
     kbench.add_argument("--alloc", action="store_true",
                         help="also measure allocated-blocks-per-event on the "
                              "traffic and soak shapes (sys.getallocatedblocks "

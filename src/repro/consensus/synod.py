@@ -405,8 +405,5 @@ class ConsensusHost(ConsensusProtocol):
 
 
 def _printable(value: Any) -> Any:
-    """Best-effort compact representation for the trace."""
-    try:
-        return value if isinstance(value, (int, float, str, bool, tuple)) else repr(value)
-    except Exception:  # pragma: no cover - defensive
-        return "<unprintable>"
+    """Compact representation for the trace."""
+    return value if isinstance(value, (int, float, str, bool, tuple)) else repr(value)

@@ -41,18 +41,6 @@ class LatencyModel:
         """Expected latency; used by analytic step-count estimates."""
         raise NotImplementedError
 
-    def min_latency(self, source: str, destination: str) -> float:
-        """A hard lower bound on :meth:`sample` for the given link.
-
-        No sample for ``(source, destination)`` may ever come in below this
-        value.  The conservative parallel kernel
-        (:mod:`repro.sim.parallel`) uses the minimum over all cross-shard
-        links as its lookahead: a shard may run ``min_latency`` ahead of its
-        peers because no message from them can arrive sooner.  Also usable
-        standalone for analytic best-case step-count estimates.
-        """
-        raise NotImplementedError
-
 
 class FixedLatency(LatencyModel):
     """Every message takes exactly ``value`` time units."""
@@ -70,9 +58,6 @@ class FixedLatency(LatencyModel):
         return lambda: value
 
     def mean(self) -> float:
-        return self.value
-
-    def min_latency(self, source: str, destination: str) -> float:
         return self.value
 
     def __repr__(self) -> str:
@@ -99,9 +84,6 @@ class UniformLatency(LatencyModel):
 
     def mean(self) -> float:
         return (self.low + self.high) / 2.0
-
-    def min_latency(self, source: str, destination: str) -> float:
-        return self.low
 
     def __repr__(self) -> str:
         return f"UniformLatency({self.low}, {self.high})"
@@ -130,9 +112,6 @@ class ExponentialLatency(LatencyModel):
     def mean(self) -> float:
         return self.base + self.tail_mean
 
-    def min_latency(self, source: str, destination: str) -> float:
-        return self.base
-
     def __repr__(self) -> str:
         return f"ExponentialLatency(base={self.base}, tail_mean={self.tail_mean})"
 
@@ -158,36 +137,6 @@ def three_tier_latency(client_names: Sequence[str], app_server_names: Sequence[s
             latency.set_link(app, db, FixedLatency(app_db_latency))
             latency.set_link(db, app, FixedLatency(app_db_latency))
     return latency
-
-
-def min_cross_latency(model: LatencyModel,
-                      shards: Sequence[Sequence[str]]) -> float:
-    """The conservative lookahead of a sharded run: the smallest
-    :meth:`LatencyModel.min_latency` over every directed link whose endpoints
-    live in *different* shards.
-
-    Each shard of a parallel simulation may safely run this far ahead of the
-    global event horizon -- no cross-shard message can arrive sooner.  A
-    cross-shard link with a zero lower bound is rejected: its lookahead
-    window would be empty and the conservative rounds could never advance.
-    """
-    bound = float("inf")
-    worst: Optional[tuple[str, str]] = None
-    for i, shard in enumerate(shards):
-        others = [name for j, other in enumerate(shards) if j != i
-                  for name in other]
-        for source in shard:
-            for destination in others:
-                link = model.min_latency(source, destination)
-                if link < bound:
-                    bound = link
-                    worst = (source, destination)
-    if worst is not None and bound <= 0:
-        raise ValueError(
-            f"cross-shard link {worst[0]!r} -> {worst[1]!r} has a zero-or-"
-            f"negative latency lower bound ({bound}); conservative parallel "
-            "simulation needs every cross-shard link to have min_latency > 0")
-    return bound
 
 
 class PerLinkLatency(LatencyModel):
@@ -218,9 +167,6 @@ class PerLinkLatency(LatencyModel):
 
     def mean(self) -> float:
         return self.default.mean()
-
-    def min_latency(self, source: str, destination: str) -> float:
-        return self._resolve(source, destination).min_latency(source, destination)
 
     def __repr__(self) -> str:
         return f"PerLinkLatency(default={self.default!r}, overrides={len(self.overrides)})"

@@ -38,17 +38,10 @@ Two figures are reported per scenario and kernel:
 ``python -m repro kernelbench`` runs everything and writes the BENCH json
 consumed by ``benchmarks/test_bench_kernel.py``, which gates regressions
 against ``benchmarks/baseline/kernel.json``.
-
-One end-to-end scenario rides along: :func:`run_parallel_bench` times the
-8-shard soak shape under the serial kernel, the in-process sharded kernel
-(``jobs=8``) and the forked-worker kernel (``jobs=8&workers=4``) --
-``python -m repro kernelbench --parallel`` and
-``benchmarks/test_bench_parallel.py`` gate its ratios.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Callable, Dict, Tuple
 
@@ -219,69 +212,16 @@ def run_kernel_bench(ops: int = DEFAULT_OPS, repeats: int = 3) -> dict:
     }
 
 
-#: The scaled-down 8-shard soak shape the parallel bench times (open loop,
-#: hash placement, 10% cross-shard transactions, no stored trace -- the
-#: single-run workload the sharded kernel exists for).
-PARALLEL_BENCH_DSN = ("etx://a3.d8.c64?rate=32&arrival=poisson&seed=11"
-                      "&workload=bank&placement=hash&xshard=0.1&trace=off")
-
-
-def run_parallel_bench(requests: int = 2000, jobs: int = 8,
-                       workers: int = 4,
-                       dsn: str = PARALLEL_BENCH_DSN) -> dict:
-    """Time one soak shape serial vs sharded vs forked workers.
-
-    Returns a BENCH payload with wall seconds and events/sec per mode plus
-    the two machine-independent same-run ratios the CI gate enforces:
-
-    * ``inprocess_overhead`` -- sharded ``workers=0`` wall time over serial
-      wall time.  The round engine's bookkeeping (context chains, seq
-      marks, barrier merging) costs real time and buys nothing without OS
-      processes, so this is a regression canary, not a speedup.
-    * ``worker_speedup`` -- serial wall time over ``workers=N`` wall time.
-      Only meaningful with at least ``workers`` idle cores; the gate skips
-      it on smaller machines (``cpu_count`` is recorded in the payload).
-    """
-    from repro.experiments import soak
-
-    def measure(extra: str) -> dict:
-        report = soak.run(dsn + extra, requests=requests, checkpoints=2,
-                          settle=2000.0)
-        return {
-            "wall_seconds": round(report.wall_seconds, 3),
-            "events_processed": report.events_processed,
-            "events_per_second": round(report.events_per_second),
-            "delivered": report.delivered,
-            "spec_ok": report.spec_ok,
-        }
-
-    serial = measure("")
-    sharded = measure(f"&jobs={jobs}")
-    forked = measure(f"&jobs={jobs}&workers={workers}")
-    return {
-        "dsn": dsn,
-        "requests": requests,
-        "jobs": jobs,
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "serial": serial,
-        "sharded": sharded,
-        "forked": forked,
-        "inprocess_overhead": round(
-            sharded["wall_seconds"] / serial["wall_seconds"], 2),
-        "worker_speedup": round(
-            serial["wall_seconds"] / forked["wall_seconds"], 2),
-    }
-
-
 # ------------------------------------------------------------- allocations
 
 
 #: The closed-loop traffic shape of ``benchmarks/test_bench_traffic.py``.
 ALLOC_TRAFFIC_DSN = "etx://a3.d1.c4?seed=3&workload=bank&timing=paper&trace=off"
 
-#: The serial soak shape (same scenario the parallel bench times).
-ALLOC_SOAK_DSN = PARALLEL_BENCH_DSN
+#: The scaled-down 8-shard soak shape (open loop, hash placement, 10%
+#: cross-shard transactions, no stored trace).
+ALLOC_SOAK_DSN = ("etx://a3.d8.c64?rate=32&arrival=poisson&seed=11"
+                  "&workload=bank&placement=hash&xshard=0.1&trace=off")
 
 
 def _stepped_alloc_blocks(sim, is_done: Callable[[], bool],
@@ -436,25 +376,6 @@ def format_alloc_report(payload: dict) -> str:
             f"  {shape:<8} {figures['blocks_per_event']:>7.3f} blocks/event  "
             f"({figures['alloc_blocks']:,} blocks / {figures['events']:,} events, "
             f"{figures['requests']} requests)")
-    return "\n".join(lines)
-
-
-def format_parallel_report(payload: dict) -> str:
-    """Human-readable table of a :func:`run_parallel_bench` payload."""
-    lines = [f"parallel bench: {payload['requests']} requests on "
-             f"{payload['dsn']}  (cpu_count {payload['cpu_count']})"]
-    for mode, label in (("serial", "serial"),
-                        ("sharded", f"jobs={payload['jobs']}"),
-                        ("forked", f"jobs={payload['jobs']} "
-                                   f"workers={payload['workers']}")):
-        figures = payload[mode]
-        lines.append(
-            f"  {label:<18} wall {figures['wall_seconds']:>8.3f}s  "
-            f"{figures['events_per_second']:>10,} events/s  "
-            f"delivered {figures['delivered']}  spec_ok {figures['spec_ok']}")
-    lines.append(
-        f"  in-process overhead {payload['inprocess_overhead']:.2f}x serial"
-        f"   worker speedup {payload['worker_speedup']:.2f}x serial")
     return "\n".join(lines)
 
 

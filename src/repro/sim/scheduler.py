@@ -24,7 +24,7 @@ kernels to byte-identical traces per seed.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import insort
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -45,90 +45,6 @@ _EVENT_POOL_MAX = 512
 """Free-list depth: enough to cover the in-flight message population of a
 busy run without pinning an unbounded pile of dead handles."""
 
-#: Ancestry levels kept in a shard-mode dispatch context.  Each event's
-#: context is ``(schedule_time, parent_context, discriminator)`` where the
-#: parent is the context of the dispatch that scheduled it, truncated to
-#: ``CTX_DEPTH - 1`` levels at construction.  The cap bounds memory on
-#: unbounded causal chains (heartbeats re-arming themselves forever) while
-#: keeping enough ancestry to break same-instant cross-sender ties -- in
-#: practice those resolve within two or three levels.
-CTX_DEPTH = 8
-
-#: ``msg_id = source_index * stride + per_source_counter`` -- the message
-#: identity scheme of :class:`repro.net.network.Network` (which imports the
-#: constant from here).  The context ordering below exploits the encoding:
-#: two discriminators in the same stride band are counter values of one
-#: sender, and per-sender counters grow chronologically through a serial
-#: execution.
-MSG_ID_STRIDE = 1_000_000_000
-
-
-class Ctx(tuple):
-    """A dispatch context ``(schedule_time, parent_ctx, discriminator)``.
-
-    Orders by *serial insertion order*: the order the serial kernel's queue
-    would hold two events scheduled at the same virtual time.
-
-    * Different schedule times: chronological (insertion is chronological).
-    * Same time, both discriminators from the *same sender* (one stride
-      band): counter order.  Per-sender message counters grow monotonically
-      through serial execution, so for two deliveries scheduled at one
-      instant the smaller counter was scheduled first -- exact, with no
-      recursion, even when the causal ancestries are disjoint.
-    * Otherwise: the order of the scheduling dispatches, i.e. the parent
-      contexts compared recursively; the discriminator breaks the final tie
-      (two sends by one dispatch leave in program order, which for one
-      sender is counter order again).
-
-    Parent-before-discriminator is deliberately *skipped* in the same-sender
-    case: plain lexicographic order would descend into the full ancestries
-    first and could bottom out on a truncated or cross-sender level, getting
-    the tie wrong even though the counters already carry the exact answer.
-    """
-
-    __slots__ = ()
-
-    def __lt__(self, other) -> bool:
-        if not other:           # () sorts below every live context
-            return False
-        st, sp, sd = self
-        ot, op, od = other
-        if st != ot:
-            return st < ot
-        if sd and od and sd // MSG_ID_STRIDE == od // MSG_ID_STRIDE:
-            return sd < od
-        if sp != op:
-            if not sp or not op:
-                return not sp   # truncated ancestry sorts first
-            return Ctx.__lt__(sp, op)
-        return sd < od
-
-    def __gt__(self, other) -> bool:
-        return self != other and not self.__lt__(other)
-
-    def __le__(self, other) -> bool:
-        return self == other or self.__lt__(other)
-
-    def __ge__(self, other) -> bool:
-        return not self.__lt__(other)
-
-
-#: Context of events scheduled before any dispatch ran (the build phase).
-GENESIS_CTX = Ctx((0.0, (), 0))
-
-
-def truncate_ctx(ctx: tuple, depth: int = CTX_DEPTH - 1) -> tuple:
-    """Copy ``ctx`` keeping at most ``depth`` ancestry levels.
-
-    Truncation replaces the deepest parent with ``()``, which compares
-    below every non-empty chain -- a deterministic (if arbitrary) rule
-    that both sides of any comparison apply identically, because both
-    truncate at the same construction depth.
-    """
-    if depth <= 0 or not ctx:
-        return ()
-    return Ctx((ctx[0], truncate_ctx(ctx[1], depth - 1), ctx[2]))
-
 
 class ScheduledEvent:
     """Handle to a scheduled callback; supports cancellation.
@@ -141,7 +57,7 @@ class ScheduledEvent:
     """
 
     __slots__ = ("time", "seq", "callback", "name", "cancelled", "arg",
-                 "_sim", "_slots", "_pos", "ctx")
+                 "_sim", "_slots", "_pos")
 
     def __init__(self, time: float, seq: int, callback: Callable[[], None], name: str):
         self.time = time
@@ -227,9 +143,6 @@ class Simulator(Kernel):
         # the per-message ScheduledEvent allocation of the network's
         # delivery path is recycled across fire cycles.
         self._event_pool: list[ScheduledEvent] = []
-        # Shard mode (see repro.sim.parallel): off by default, one boolean
-        # check on the schedule path is its only serial-run cost.
-        self._shard_mode = False
 
     # ------------------------------------------------------------ scheduling
 
@@ -244,16 +157,6 @@ class Simulator(Kernel):
         event = ScheduledEvent(time, self._seq, callback, name)
         self._seq += 1
         event._sim = self
-        if self._shard_mode:
-            # Dispatch context: when this event was scheduled, by which
-            # causal chain.  Same-instant cross-shard sends tie-break on it
-            # (repro.sim.parallel).  Inheriting the scheduling dispatch's
-            # context keeps symmetric timers armed by sibling deliveries of
-            # one multicast (e.g. per-replica work-completion timers)
-            # distinguishable when they fire at the same instant; the
-            # network overwrites the discriminator with the message's own
-            # id on delivery events.
-            event.ctx = Ctx((self.now, self._dispatch_trunc, 0))
         wheel = self._wheel
         tick = int(time)
         # _ready_tick (last drained tick) is always wheel._base - 1, so one
@@ -323,8 +226,6 @@ class Simulator(Kernel):
             event._sim = self
         event.arg = arg
         self._seq += 1
-        if self._shard_mode:
-            event.ctx = Ctx((self.now, self._dispatch_trunc, 0))
         # Identical placement logic to schedule() (kept inline: this is the
         # hottest allocation site in a traffic run and a shared helper call
         # would tax schedule() too).
@@ -381,8 +282,6 @@ class Simulator(Kernel):
         event = ScheduledEvent(time, self._seq, callback, name)
         self._seq += 1
         event._sim = self
-        if self._shard_mode:
-            event.ctx = Ctx((time, self._dispatch_trunc, 0))
         event._slots = DRAINED
         ready = self._ready
         idx = self._ready_idx
@@ -421,8 +320,6 @@ class Simulator(Kernel):
             event._sim = self
         event.arg = arg
         self._seq += 1
-        if self._shard_mode:
-            event.ctx = Ctx((time, self._dispatch_trunc, 0))
         event._slots = DRAINED
         ready = self._ready
         idx = self._ready_idx
@@ -599,266 +496,3 @@ class Simulator(Kernel):
                 return predicate()
             self._ready_tick, self._ready = drained
             self._ready_idx = 0
-
-    # ---------------------------------------------------------- shard support
-    #
-    # Everything below exists for the conservative parallel kernel
-    # (:mod:`repro.sim.parallel`), which runs one Simulator per shard in
-    # lookahead-bounded windows and re-injects cross-shard messages at the
-    # exact ``(time, seq)`` position the serial kernel would have given them.
-    # None of it is touched by a serial run.
-
-    def enable_shard_mode(self) -> None:
-        """Turn on the bookkeeping windowed runs and injection need.
-
-        Must be called before virtual time first advances: events scheduled
-        earlier are treated as scheduled at time 0.0, which is only true
-        while the clock still reads zero (the build phase).
-        """
-        if self.now != 0.0:
-            raise InvalidScheduling("shard mode must be enabled before time advances")
-        self._shard_mode = True
-        # The seq-mark staircase: one seq snapshot per distinct
-        # ``(time, ctx)`` key dispatched, taken *before* the first event of
-        # that key fires.  The context is a bounded-depth causal chain
-        # ``(schedule_time, parent_ctx, discriminator)``: when the event was
-        # scheduled, the (truncated) context of the dispatch that scheduled
-        # it, and -- for message deliveries -- the message's own id.  Within
-        # one timestamp events dispatch in insertion order, insertion is
-        # chronological, sibling deliveries of one multicast carry ascending
-        # per-sender msg ids, and cross-sender ties recurse into the parent
-        # chain -- so the keys form a (mostly) increasing staircase.  The
-        # seq a cross-shard message (sent at ``s`` by a dispatch with
-        # context ``c``) would have drawn locally is the snapshot of the
-        # first mark with key > ``(s, c)``.  A dispatch whose key does not
-        # exceed the last mark adds no mark -- lookups then fall back to the
-        # coarser previous snapshot instead of corrupting the bisect order.
-        self._marks: list[tuple[float, tuple]] = []
-        self._mark_seqs: list[int] = []
-        # Per-base counters for fractional injection seqs.
-        self._inject_counts: dict[int, int] = {}
-        # Context of the event currently dispatching, and its truncation --
-        # computed once per dispatch and shared by the mark key, every child
-        # event scheduled from the dispatch, and the shard network's
-        # cross-shard tie-break chains.
-        self._dispatch_ctx: tuple = GENESIS_CTX
-        self._dispatch_trunc: tuple = truncate_ctx(GENESIS_CTX)
-
-    def next_event_time(self) -> Optional[float]:
-        """Time of the earliest pending event, or ``None`` if the queue is empty.
-
-        Advances the ready cursor past cancelled entries and drains wheel
-        windows as needed -- exactly the prefix of work :meth:`run` would do
-        -- but dispatches nothing and leaves the clock untouched.
-        """
-        while True:
-            ready = self._ready
-            idx = self._ready_idx
-            n = len(ready)
-            while idx < n and ready[idx].callback is None:
-                idx += 1
-            self._ready_idx = idx
-            if idx < n:
-                return ready[idx].time
-            drained = self._wheel.drain_next()
-            if drained is None:
-                return None
-            self._ready_tick, self._ready = drained
-            self._ready_idx = 0
-
-    def run_window(self, stop: float, max_events: int = 5_000_000) -> None:
-        """Run every event with ``time < stop`` (strictly), recording seq marks.
-
-        The exclusive bound is what conservative lookahead needs: with
-        window stop ``T + L`` a cross-shard message sent at ``T`` over a
-        minimum-latency link arrives exactly *at* the stop, so the stop
-        itself must stay unexecuted.  The clock is left at the last fired
-        event (never advanced to ``stop``); a later window resumes from
-        there.
-        """
-        wheel = self._wheel
-        marks = self._marks
-        mark_seqs = self._mark_seqs
-        processed = 0
-        while True:
-            ready = self._ready
-            idx = self._ready_idx
-            if idx < len(ready):
-                event = ready[idx]
-                self._ready_idx = idx + 1
-                callback = event.callback
-                if callback is None:  # cancelled in place
-                    continue
-                time = event.time
-                if time != self.now:
-                    if time >= stop:
-                        self._ready_idx = idx  # leave unconsumed
-                        return
-                    self.now = time
-                event.callback = None
-                self._events_processed += 1
-                processed += 1
-                if processed > max_events:
-                    raise SimulationLimitExceeded(
-                        f"simulation exceeded {max_events} events (possible livelock)"
-                    )
-                ctx = getattr(event, "ctx", GENESIS_CTX)
-                # Mark keys truncate to the same depth as injection probes
-                # (a delivery's parent chain is one level shallower than a
-                # full dispatch context): shared ancestry must compare
-                # *equal*, not diverge on the truncation frontier before
-                # the first genuinely differing discriminator is reached.
-                trunc = truncate_ctx(ctx)
-                key = (time, trunc)
-                if not marks or marks[-1] < key:
-                    marks.append(key)
-                    mark_seqs.append(self._seq)
-                self._dispatch_ctx = ctx
-                self._dispatch_trunc = trunc
-                arg = event.arg
-                if arg is _NO_ARG:
-                    callback()
-                else:
-                    event.arg = _NO_ARG
-                    callback(arg)
-                    pool = self._event_pool
-                    if len(pool) < _EVENT_POOL_MAX:
-                        pool.append(event)
-                continue
-            drained = wheel.drain_next()
-            if drained is None:
-                return
-            self._ready_tick, self._ready = drained
-            self._ready_idx = 0
-
-    def run_until_window(self, predicate: Callable[[], bool], stop: float,
-                         max_events: int = 5_000_000) -> bool:
-        """:meth:`run_window` that additionally stops once ``predicate()`` holds.
-
-        Returns ``True`` if the predicate was satisfied (the shard stopped
-        mid-window and must be caught up to ``stop`` before any injection
-        with a send time beyond its clock), ``False`` if the window was
-        completed or the queue drained first.  Like :meth:`run_until`, the
-        predicate is re-evaluated after every dispatched event.
-        """
-        if predicate():
-            return True
-        wheel = self._wheel
-        marks = self._marks
-        mark_seqs = self._mark_seqs
-        processed = 0
-        while True:
-            ready = self._ready
-            idx = self._ready_idx
-            if idx < len(ready):
-                event = ready[idx]
-                self._ready_idx = idx + 1
-                callback = event.callback
-                if callback is None:  # cancelled in place
-                    continue
-                time = event.time
-                if time != self.now:
-                    if time >= stop:
-                        self._ready_idx = idx
-                        return False
-                    self.now = time
-                event.callback = None
-                self._events_processed += 1
-                processed += 1
-                if processed > max_events:
-                    raise SimulationLimitExceeded(
-                        f"simulation exceeded {max_events} events (possible livelock)"
-                    )
-                ctx = getattr(event, "ctx", GENESIS_CTX)
-                # Mark keys truncate to the same depth as injection probes
-                # (a delivery's parent chain is one level shallower than a
-                # full dispatch context): shared ancestry must compare
-                # *equal*, not diverge on the truncation frontier before
-                # the first genuinely differing discriminator is reached.
-                trunc = truncate_ctx(ctx)
-                key = (time, trunc)
-                if not marks or marks[-1] < key:
-                    marks.append(key)
-                    mark_seqs.append(self._seq)
-                self._dispatch_ctx = ctx
-                self._dispatch_trunc = trunc
-                arg = event.arg
-                if arg is _NO_ARG:
-                    callback()
-                else:
-                    event.arg = _NO_ARG
-                    callback(arg)
-                    pool = self._event_pool
-                    if len(pool) < _EVENT_POOL_MAX:
-                        pool.append(event)
-                if predicate():
-                    return True
-                continue
-            drained = wheel.drain_next()
-            if drained is None:
-                return predicate()
-            self._ready_tick, self._ready = drained
-            self._ready_idx = 0
-
-    def inject(self, time: float, chain: tuple, callback: Callable[[], None],
-               name: str = "inject") -> ScheduledEvent:
-        """Insert a cross-shard event at its exact serial queue position.
-
-        ``chain`` is the delivery's dispatch context as the serial kernel
-        would have built it: ``(send_time, parent_ctx, msg_id)``, where
-        ``send_time`` is the virtual time the message was sent in its
-        source shard -- the moment the serial kernel would have scheduled
-        this delivery -- and ``parent_ctx`` is the (truncated) context of
-        the dispatch that performed the send.  The event's seq is placed
-        fractionally just below the local seq counter's value at that
-        moment (recovered from the seq marks), so it dispatches after
-        everything scheduled locally by dispatches at or before
-        ``(send_time, parent_ctx)`` and before everything scheduled after.
-        Repeated injections against the same base keep their injection
-        order: the fractions 1/2, 2/3, 3/4 ... increase and stay below 1.
-
-        Precondition (guaranteed by the round loop): this kernel has already
-        executed every event with time < some bound > ``send_time``, so the
-        marks covering ``send_time`` are final.
-        """
-        if time < self.now:
-            raise InvalidScheduling(
-                f"cannot inject {name!r} in the past ({time} < {self.now})")
-        marks = self._marks
-        i = bisect_right(marks, (chain[0], chain[1]))
-        base = self._mark_seqs[i] if i < len(marks) else self._seq
-        count = self._inject_counts.get(base, 0) + 1
-        self._inject_counts[base] = count
-        seq = base - 1 + count / (count + 1)
-        event = ScheduledEvent(time, seq, callback, name)
-        event._sim = self
-        event.ctx = chain
-        # The injected event consumes one seq like its serial counterpart
-        # did; pending_events stays an exact count and later local seqs
-        # shift uniformly, which no ordering depends on.
-        self._seq += 1
-        wheel = self._wheel
-        tick = int(time)
-        if tick - wheel._base < 0:
-            # Inside the drained window: merge into the ready run by full
-            # (time, seq) order -- the fractional seq lands the event among
-            # equal-time entries exactly where the serial kernel had it.
-            event._slots = DRAINED
-            insort(self._ready, event, lo=self._ready_idx)
-        else:
-            wheel.insert(event, tick)
-        return event
-
-    def prune_marks(self, before: float) -> None:
-        """Drop seq marks at ``time < before``; no future injection needs them.
-
-        The round loop calls this with the globally committed (exclusive)
-        bound: every cross-shard message sent strictly below it has already
-        been injected, but a send at exactly the bound may still be pending
-        (deferred after a predicate stop), so marks at the bound survive.
-        """
-        marks = self._marks
-        i = bisect_left(marks, (before,))
-        if i:
-            del marks[:i]
-            del self._mark_seqs[:i]

@@ -150,10 +150,6 @@ class TraceRecorder:
 
         return unsubscribe
 
-    def subscribed_categories(self) -> set[str]:
-        """Categories with at least one live subscriber."""
-        return set(self._subscribers)
-
     def wants(self, category: str) -> bool:
         """Whether recording ``category`` has any effect (stored or consumed).
 
@@ -264,23 +260,6 @@ class TraceRecorder:
             if self._events and event.time < self._events[-1].time:
                 self._time_ordered = False
             self._events.append(event)
-
-    def ingest(self, event: TraceEvent) -> None:
-        """Store a pre-built event *and* dispatch it to subscribers.
-
-        The merge point of a sharded run feeds shard-recorded events through
-        here in global order: unlike :meth:`extend` they are happening "now"
-        from the central recorder's point of view, so the metric streams and
-        the spec monitor must see them.
-        """
-        if self._store:
-            if self._events and event.time < self._events[-1].time:
-                self._time_ordered = False
-            self._events.append(event)
-        subscribers = self._subscribers.get(event.category)
-        if subscribers is not None:
-            for callback in subscribers:
-                callback(event)
 
     def clear(self) -> None:
         """Drop all stored events (subscriptions stay)."""

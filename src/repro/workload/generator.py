@@ -86,12 +86,6 @@ class RunStatistics:
     elapsed: float = 0.0
     by_client: dict[str, "RunStatistics"] = field(default_factory=dict)
     by_database: dict[str, DatabaseStatistics] = field(default_factory=dict)
-    #: Round-engine counters: ``jobs``, ``workers``, ``rounds``,
-    #: ``stalled_windows``, per-shard ``events`` and a load-``balance``
-    #: ratio.  A serial run emits the same keys zeroed (``jobs == 0``), so
-    #: downstream consumers (soak reports, dashboards) see one schema on
-    #: both paths.  ``None`` only on hand-built instances.
-    parallel: Optional[dict[str, Any]] = None
     #: Admission-control counters of the application tier: ``shed_messages``
     #: (messages refused at a full mailbox) and ``mailbox_peak`` (highest
     #: backlog any one server reached).  Zeros when no bound is configured
@@ -261,15 +255,6 @@ class LoadGenerator:
             stats.merge(client, leaf)
         self._collect_databases(deployment, stats)
         inner = getattr(deployment, "deployment", deployment)
-        probe = getattr(inner, "parallel_stats", None)
-        if callable(probe):
-            stats.parallel = probe()
-        else:
-            # Schema parity with the jobs= path: a serial run emits the same
-            # keys, zeroed, so soak.json consumers never KeyError on them.
-            stats.parallel = {"jobs": 0, "workers": 0, "rounds": 0,
-                              "stalled_windows": 0, "events": {},
-                              "balance": 1.0}
         saturation = getattr(inner, "saturation_stats", None)
         stats.saturation = (saturation() if callable(saturation)
                             else {"shed_messages": 0, "mailbox_peak": 0})

@@ -4,6 +4,7 @@ import pytest
 
 from repro import api
 from repro.api.scenario import FaultSpec, Scenario, ScenarioError
+from repro.runtime.base import RuntimeSpec
 
 
 # ------------------------------------------------------------- round-trip
@@ -35,7 +36,6 @@ ROUND_TRIP_SCENARIOS = [
              faults=(FaultSpec("reshard", 5000.0, from_shards=4, to_shards=8),)),
     Scenario(protocol="etx", runtime="asyncio", host="localhost", port=7450,
              pace=0.05),
-    Scenario(protocol="etx", num_db_servers=3, jobs=4, workers=2, rate=20.0),
 ]
 
 
@@ -114,6 +114,8 @@ def test_omitted_query_parameters_fall_back_to_defaults():
     ("etx://a3?fault=crash", "malformed fault token"),
     ("etx://a3?fault=warp@1:a1", "unknown fault kind"),
     ("etx://a0", "at least one process"),
+    ("etx://a3.d2?jobs=2", "unknown DSN parameter"),
+    ("etx://a3.d2?workers=1", "unknown DSN parameter"),
 ])
 def test_clear_errors_on_bad_dsns(dsn, fragment):
     with pytest.raises(ScenarioError) as excinfo:
@@ -250,6 +252,14 @@ def test_runtime_params_round_trip_through_the_dsn():
     assert Scenario.from_dsn(scenario.to_dsn()) == scenario
     spec = scenario.runtime_spec
     assert spec.kind == "asyncio" and spec.port == 7000 and not spec.distributed
+
+
+def test_simulated_runtime_spec_rejects_a_partial_deployment():
+    # Only the asyncio backend can host a subset of the processes; a
+    # simulated spec with only= would quietly build a partial deployment.
+    with pytest.raises(ValueError, match="only= needs runtime=asyncio"):
+        RuntimeSpec(kind="sim", only=("a1",))
+    assert RuntimeSpec(kind="asyncio", only=("a1",)).distributed
 
 
 def test_unknown_runtime_rejected_with_the_known_list():
@@ -402,12 +412,6 @@ def _scenarios(draw):
         kwargs["port"] = draw(st.sampled_from([0, 7450, 60000]))
         kwargs["pace"] = draw(st.floats(min_value=0.01, max_value=10.0,
                                         allow_nan=False))
-    elif not kwargs["use_reliable_channels"] and draw(st.booleans()):
-        jobs = draw(st.integers(min_value=0, max_value=apps + dbs))
-        kwargs["jobs"] = jobs
-        if jobs:
-            kwargs["workers"] = draw(st.integers(min_value=0, max_value=jobs))
-        allow_reshard = allow_reshard and jobs == 0
     names = ([f"a{i + 1}" for i in range(apps)]
              + [f"d{i + 1}" for i in range(dbs)]
              + [f"c{i + 1}" for i in range(clients)])

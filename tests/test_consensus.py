@@ -4,6 +4,7 @@ import pytest
 
 from repro.consensus.synod import ConsensusHost
 from repro.net.network import Network
+from repro.sim.errors import ThreadError
 from repro.sim.process import Process
 from repro.sim.scheduler import Simulator
 
@@ -171,3 +172,19 @@ def test_decided_instances_listing():
     sim.run(until=1_000.0)
     assert hosts["a2"].learned_since(0) == [("regA", 1), ("regD", 1)]
     assert hosts["a2"].learned_since(1) == [("regD", 1)]
+
+
+class _UnprintableValue:
+    def __repr__(self):
+        raise RuntimeError("repr exploded")
+
+
+def test_value_whose_repr_raises_surfaces_instead_of_tracing_unprintable():
+    """A broken ``__repr__`` under a consensus trace is a bug, not a trace entry."""
+    sim, network, hosts = build_group()
+    assert sim.trace.wants("consensus_decide")
+    future = hosts["a1"].propose("x", _UnprintableValue())
+    with pytest.raises(ThreadError) as failure:
+        sim.run_until(lambda: future.resolved, until=1_000.0)
+    assert isinstance(failure.value.__cause__, RuntimeError)
+    assert not any(event.data.get("value") == "<unprintable>" for event in sim.trace)
